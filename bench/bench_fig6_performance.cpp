@@ -45,8 +45,9 @@ main(int argc, char **argv)
     for (const auto &target : targets) {
         std::cout << "--- " << target.name << " ---\n";
         SynthesisCache cache;
-        SynthesisOptions options;
-        options.timeout_seconds = 2.0;
+        ResilienceOptions options;
+        options.synthesis.timeout_seconds = 2.0;
+        options.retry_escalated = false;
         HydrideBackend hydride(dict, target.isa, target.vector_bits,
                                options, &cache);
         HalideProdBackend prod(dict, target.isa, target.vector_bits);

@@ -24,11 +24,11 @@
 #include <set>
 
 #include "backends/targets.h"
+#include "driver/resilience.h"
 #include "specs/spec_db.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/timing.h"
-#include "synthesis/compiler.h"
 #include "trace_cli.h"
 
 using namespace hydride;
@@ -41,8 +41,9 @@ main(int argc, char **argv)
     std::cout << "=== Table 4: compilation times (ms) under cache "
                  "scenarios ===\n\n";
     AutoLLVMDict dict = AutoLLVMDict::build({"x86", "hvx", "arm"});
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 2.0;
+    options.retry_escalated = false;
 
     // --smoke: one target, four kernels — enough to exercise every
     // cache scenario without the full 33-kernel sweep.
@@ -65,10 +66,10 @@ main(int argc, char **argv)
             schedule.vector_bits = target.vector_bits;
             Kernel kernel = buildKernel(name, schedule);
             SynthesisCache fresh;
-            HydrideCompiler compiler(dict, target.isa, target.vector_bits,
-                                     options, &fresh);
+            ResilientCompiler compiler(dict, target.isa,
+                                       target.vector_bits, options, &fresh);
             Stopwatch watch;
-            KernelCompilation compiled = compiler.compile(kernel);
+            ResilientCompilation compiled = compiler.compile(kernel);
             cold_ms[name] = watch.millis();
             exprs[name] = static_cast<int>(compiled.pieces.size());
             for (const auto &piece : compiled.pieces)
@@ -84,8 +85,8 @@ main(int argc, char **argv)
                                  SynthesisCache &cache,
                                  const Schedule &schedule) {
             Kernel kernel = buildKernel(name, schedule);
-            HydrideCompiler compiler(dict, target.isa, target.vector_bits,
-                                     options, &cache);
+            ResilientCompiler compiler(dict, target.isa,
+                                       target.vector_bits, options, &cache);
             Stopwatch watch;
             compiler.compile(kernel);
             return watch.millis();

@@ -41,10 +41,11 @@ main()
     schedule.vector_bits = target.vector_bits;
     Kernel kernel = buildKernel("gaussian5x5", schedule);
 
-    SynthesisOptions options;
+    ResilienceOptions options;
+    options.retry_escalated = false;
     // Keep windows whole in this walkthrough so program 0 is exactly
     // the kernel's row window.
-    options.window_depth = 16;
+    options.synthesis.window_depth = 16;
     HydrideBackend hydride(dict, target.isa, target.vector_bits, options);
     CompiledKernel compiled;
     if (!hydride.compile(kernel, compiled)) {

@@ -27,7 +27,8 @@ main()
         std::cout << "Halide IR window:\n  "
                   << printHalide(kernel.windows[0]) << "\n\n";
 
-        SynthesisOptions options;
+        ResilienceOptions options;
+        options.retry_escalated = false;
         HydrideBackend hydride(dict, target.isa, target.vector_bits,
                                options);
         LlvmStyleBackend llvm(dict, target.isa, target.vector_bits);

@@ -440,9 +440,9 @@ RakeBackend::compile(const Kernel &kernel, CompiledKernel &out)
 // ---- HydrideBackend ---------------------------------------------------------
 
 HydrideBackend::HydrideBackend(const AutoLLVMDict &dict, std::string isa,
-                               int vector_bits, SynthesisOptions options,
+                               int vector_bits, ResilienceOptions options,
                                SynthesisCache *cache)
-    : compiler_(dict, isa, vector_bits, options, cache),
+    : compiler_(dict, isa, vector_bits, std::move(options), cache),
       isa_(std::move(isa))
 {
 }
@@ -456,11 +456,14 @@ HydrideBackend::compile(const Kernel &kernel, CompiledKernel &out)
     out.programs.clear();
     out.windows.clear();
     out.groups.clear();
-    KernelCompilation compiled = compiler_.compile(kernel);
-    for (auto &window : compiled.windows)
+    ResilientCompilation compiled = compiler_.compile(kernel);
+    for (auto &window : compiled.windows) {
+        if (window.rung == Rung::Scalarized || window.rung == Rung::Failed)
+            return false;
         out.programs.push_back(std::move(window.program));
-    out.windows = compiled.pieces;
-    out.groups = compiled.piece_group;
+    }
+    out.windows = std::move(compiled.pieces);
+    out.groups = std::move(compiled.piece_group);
     out.compile_seconds = compiled.compile_seconds;
     return true;
 }

@@ -2,7 +2,8 @@
  * @file
  * The four compilers compared in the paper's evaluation (Fig. 6):
  *
- *  - HydrideBackend: the synthesis-based compiler (synthesis/).
+ *  - HydrideBackend: the synthesis-based compiler, run through the
+ *    resilient driver (driver/resilience.h).
  *  - HalideProdBackend: a stand-in for the production Halide
  *    target-specific back ends — hand-written pattern-matching rules
  *    that map known window shapes to efficient target sequences
@@ -26,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "synthesis/compiler.h"
+#include "driver/resilience.h"
 
 namespace hydride {
 
@@ -121,15 +122,15 @@ class HydrideBackend : public Backend
 {
   public:
     HydrideBackend(const AutoLLVMDict &dict, std::string isa,
-                   int vector_bits, SynthesisOptions options = {},
+                   int vector_bits, ResilienceOptions options = {},
                    SynthesisCache *cache = nullptr);
     std::string name() const override { return "hydride"; }
+    /** False when any window lands on the Scalarized or Failed rung:
+     *  such a window has no target program to time or validate. */
     bool compile(const Kernel &kernel, CompiledKernel &out) override;
 
-    HydrideCompiler &compiler() { return compiler_; }
-
   private:
-    HydrideCompiler compiler_;
+    ResilientCompiler compiler_;
     std::string isa_;
 };
 

@@ -2,6 +2,7 @@
 
 #include "analysis/symbolic/ir_equiv.h"
 #include "codegen/lowering.h"
+#include "observability/bench/phase_profiler.h"
 #include "observability/journal/journal.h"
 #include "observability/log.h"
 #include "observability/metrics.h"
@@ -139,6 +140,15 @@ verifyRetrieved(const AutoLLVMDict &dict, const HExprPtr &window,
     return true;
 }
 
+/** 1-1 lowering under its own span, so the profile sees it. */
+LoweringResult
+lowerTraced(const AutoModule &module, const AutoLLVMDict &dict,
+            const std::string &isa)
+{
+    trace::TraceSpan span("codegen.lowering.lower");
+    return lowerToTarget(module, dict, isa);
+}
+
 } // namespace
 
 ResilientCompiler::ResilientCompiler(const AutoLLVMDict &dict,
@@ -180,7 +190,19 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
         // catches a fault thrown between stages.
         faults::failPoint("compiler.window");
 
-        if (const SynthesisResult *cached = cache_->lookup(window, isa_)) {
+        // Memoization cache first (paper §4.1).
+        const SynthesisResult *cached = nullptr;
+        {
+            trace::TraceSpan lookup_span(bench::kSpanCacheLookup);
+            static metrics::Histogram &lookup_ms = metrics::histogram(
+                "synthesis.cache.lookup.time_ms",
+                metrics::logTimeMsBounds());
+            Stopwatch lookup_watch;
+            cached = cache_->lookup(window, isa_);
+            lookup_ms.observe(lookup_watch.millis());
+            lookup_span.setAttr("hit", cached != nullptr);
+        }
+        if (cached) {
             if (!cached->ok) {
                 // Negative entry: synthesis already failed for this
                 // shape; skip straight to the fallback rungs.
@@ -193,7 +215,7 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
             }
             out.cache_outcome = "hit";
             LoweringResult lowered =
-                lowerToTarget(cached->module, dict_, isa_);
+                lowerTraced(cached->module, dict_, isa_);
             if (!lowered.ok) {
                 out.diagnostics.push_back(
                     {"stage.lowering", "cached result no longer lowers: " +
@@ -236,7 +258,7 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                                     options_.store_verify_vectors, why);
                 if (trusted) {
                     LoweringResult lowered =
-                        lowerToTarget(stored->module, dict_, isa_);
+                        lowerTraced(stored->module, dict_, isa_);
                     if (lowered.ok) {
                         out.cache_outcome = "store_hit";
                         metrics::counter("resilience.store.hits").add();
@@ -325,7 +347,7 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
             out.synth = std::move(synth);
             return false;
         }
-        LoweringResult lowered = lowerToTarget(synth.module, dict_, isa_);
+        LoweringResult lowered = lowerTraced(synth.module, dict_, isa_);
         if (!lowered.ok) {
             out.diagnostics.push_back(
                 {"stage.lowering",
@@ -370,7 +392,7 @@ ResilientCompiler::compileWindow(const HExprPtr &window)
     out.window = window;
     Stopwatch watch;
     CpuStopwatch cpu;
-    trace::TraceSpan span("driver.resilience.window");
+    trace::TraceSpan span(bench::kSpanWindowDriver);
     span.setAttr("isa", isa_);
     metrics::counter("resilience.windows").add();
 

@@ -1,15 +1,16 @@
 /**
  * @file
- * The resilient compilation driver: per-window error barriers with a
+ * The compilation driver: per-window error barriers with a
  * guaranteed degradation ladder.
  *
- * `HydrideCompiler` (synthesis/compiler.h) implements the paper's
- * happy path: cache -> synthesis -> lowering, with macro expansion as
- * the one fallback. This driver wraps the same components in a
- * *recovery scope* per window: any stage may throw (a failed
- * invariant, an injected fault from support/faults.h, an exhausted
- * budget) or simply report failure, and the driver walks down a fixed
- * ladder until something succeeds:
+ * This is the only window-compilation driver; the Figure 6 / Table 4
+ * benches (through HydrideBackend), the examples and the compile
+ * benchmark all run it. It implements the paper's flow (memoization
+ * cache -> CEGIS synthesis -> 1-1 lowering, with macro expansion as
+ * the fallback, §4.1-4.2) inside a *recovery scope* per window. Any
+ * stage may throw (a failed invariant, an injected fault from
+ * support/faults.h, an exhausted budget) or simply report failure,
+ * and the driver walks down a fixed ladder until something succeeds:
  *
  *   Synthesized  — CEGIS found a program and it lowered (best).
  *   Cached       — a previous synthesis result was reused.
@@ -31,7 +32,9 @@
  * Every degradation is observable: `resilience.*` metrics count
  * windows per rung, recoveries per fault site, and escalated
  * retries; the `driver.resilience.window` trace span records the
- * rung each window landed on.
+ * rung each window landed on and is the window container the
+ * `--profile` phase breakdown attributes time to
+ * (observability/bench/phase_profiler.h).
  */
 #ifndef HYDRIDE_DRIVER_RESILIENCE_H
 #define HYDRIDE_DRIVER_RESILIENCE_H
@@ -39,7 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "synthesis/compiler.h"
+#include "codegen/macro_expand.h"
+#include "halide/kernels.h"
+#include "synthesis/cache.h"
 #include "synthesis/store/store.h"
 
 namespace hydride {

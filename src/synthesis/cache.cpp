@@ -1,17 +1,6 @@
 #include "synthesis/cache.h"
 
-#include "observability/journal/journal.h"
-#include "observability/log.h"
 #include "observability/metrics.h"
-#include "support/faults.h"
-#include "support/fsio.h"
-#include "support/strings.h"
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 namespace hydride {
 
@@ -67,270 +56,6 @@ SynthesisCache::clear()
     metrics::counter("synthesis.cache.clears").add();
     entries_.clear();
     hits_ = misses_ = 0;
-}
-
-namespace cachefmt {
-
-uint64_t
-dictFingerprint(const AutoLLVMDict &dict)
-{
-    uint64_t h = 0xD1C7 ^ static_cast<uint64_t>(dict.classCount());
-    for (int c = 0; c < dict.classCount(); ++c) {
-        h = h * 1099511628211ull ^ dict.cls(c).members.size();
-        h = h * 1099511628211ull ^
-            std::hash<std::string>{}(dict.cls(c).members[0].name);
-    }
-    return h;
-}
-
-uint64_t
-checksum(const std::string &text)
-{
-    uint64_t h = 0xCBF29CE484222325ull;
-    for (unsigned char c : text)
-        h = (h ^ c) * 0x100000001B3ull;
-    return h;
-}
-
-std::string
-serializeEntry(const SynthesisCache::Key &key, const SynthesisResult &result)
-{
-    std::ostringstream out;
-    out << "entry " << key.first << " " << key.second << " "
-        << (result.ok ? 1 : 0) << " " << result.cost << " "
-        << result.scale << "\n";
-    if (!result.ok)
-        return out.str();
-    const AutoModule &module = result.module;
-    out << "inputs";
-    for (int w : module.input_widths)
-        out << " " << w;
-    out << "\nconsts " << module.constants.size() << "\n";
-    for (const auto &constant : module.constants)
-        out << constant.width() << " " << constant.toHex() << "\n";
-    out << "insts " << module.insts.size() << "\n";
-    for (const auto &inst : module.insts) {
-        out << inst.op.class_id << " " << inst.op.member_index << " "
-            << inst.args.size();
-        for (const auto &ref : inst.args)
-            out << " " << static_cast<int>(ref.kind) << " " << ref.index;
-        out << " " << inst.int_args.size();
-        for (int64_t imm : inst.int_args)
-            out << " " << imm;
-        out << "\n";
-    }
-    out << "result " << module.result << "\n";
-    return out.str();
-}
-
-bool
-parseEntry(const std::string &block, const AutoLLVMDict &dict,
-           SynthesisCache::Key &key, SynthesisResult &result)
-{
-    std::istringstream in(block);
-    std::string tag;
-    if (!(in >> tag) || tag != "entry")
-        return false;
-    int ok = 0;
-    if (!(in >> key.first >> key.second >> ok >> result.cost >>
-          result.scale))
-        return false;
-    result.ok = ok != 0;
-    if (!result.ok)
-        return true;
-    AutoModule &module = result.module;
-    if (!(in >> tag) || tag != "inputs")
-        return false;
-    // Input widths run to end of line.
-    std::string line;
-    std::getline(in, line);
-    for (const auto &field : split(trim(line), ' '))
-        if (!field.empty())
-            module.input_widths.push_back(std::stoi(field));
-    size_t n_consts = 0;
-    if (!(in >> tag >> n_consts) || tag != "consts")
-        return false;
-    for (size_t c = 0; c < n_consts; ++c) {
-        int width = 0;
-        std::string hex;
-        if (!(in >> width >> hex) || width <= 0)
-            return false;
-        BitVector value(width);
-        for (size_t digit = 0; digit < hex.size(); ++digit) {
-            const char ch = hex[hex.size() - 1 - digit];
-            const int nibble = ch <= '9' ? ch - '0' : ch - 'a' + 10;
-            for (int bit = 0; bit < 4; ++bit) {
-                const int pos = static_cast<int>(digit) * 4 + bit;
-                if (pos < width && ((nibble >> bit) & 1))
-                    value.setBit(pos, true);
-            }
-        }
-        module.constants.push_back(std::move(value));
-    }
-    size_t n_insts = 0;
-    if (!(in >> tag >> n_insts) || tag != "insts")
-        return false;
-    for (size_t i = 0; i < n_insts; ++i) {
-        AutoInst inst;
-        size_t n_args = 0;
-        if (!(in >> inst.op.class_id >> inst.op.member_index >> n_args))
-            return false;
-        if (inst.op.class_id < 0 || inst.op.class_id >= dict.classCount())
-            return false;
-        for (size_t a = 0; a < n_args; ++a) {
-            int kind = 0;
-            int index = 0;
-            if (!(in >> kind >> index))
-                return false;
-            inst.args.push_back({static_cast<ValueRef::Kind>(kind), index});
-        }
-        size_t n_imms = 0;
-        if (!(in >> n_imms))
-            return false;
-        for (size_t m = 0; m < n_imms; ++m) {
-            int64_t imm = 0;
-            if (!(in >> imm))
-                return false;
-            inst.int_args.push_back(imm);
-        }
-        module.insts.push_back(std::move(inst));
-    }
-    if (!(in >> tag >> result.module.result) || tag != "result")
-        return false;
-    return true;
-}
-
-} // namespace cachefmt
-
-bool
-SynthesisCache::save(const std::string &path, const AutoLLVMDict &dict) const
-{
-    // Chaos seam: a failed save is an ordinary outcome callers must
-    // tolerate (the previous cache on disk stays intact either way).
-    if (faults::shouldFail("cache.save"))
-        return false;
-
-    // Atomic persistence via fsio::writeFileAtomic: temp file in the
-    // same directory, fsync, EINTR-safe rename over the target, then
-    // a directory fsync. A crash mid-save leaves the old cache
-    // untouched; the pid suffix on the temp file keeps concurrent
-    // savers from clobbering each other (last rename wins, both
-    // files stay well-formed).
-    std::ostringstream out;
-    out << "hydride-synth-cache v2 " << cachefmt::dictFingerprint(dict)
-        << "\n";
-    for (const auto &[key, entry] : entries_) {
-        const std::string block = cachefmt::serializeEntry(key, entry.result);
-        out << block << "check " << cachefmt::checksum(block) << "\n";
-    }
-    return fsio::writeFileAtomic(path, out.str());
-}
-
-namespace {
-
-/** `cache.load.*` observability: salvage must be visible without
- *  reading stderr, so every load outcome lands in the metrics
- *  registry and (when enabled) the provenance journal. */
-void
-noteLoadOutcome(const std::string &path, bool ok, bool salvaged,
-                size_t entries)
-{
-    metrics::counter("cache.load.attempts").add();
-    if (!ok)
-        metrics::counter("cache.load.failures").add();
-    if (salvaged)
-        metrics::counter("cache.load.salvaged").add();
-    metrics::counter("cache.load.entries").add(entries);
-    if (journal::enabled()) {
-        auto fields = bjson::Value::makeObject();
-        fields->set("path", bjson::Value::makeString(path));
-        fields->set("ok", bjson::Value::makeBool(ok));
-        fields->set("salvaged", bjson::Value::makeBool(salvaged));
-        fields->set("entries", bjson::Value::makeNumber(
-                                   static_cast<double>(entries)));
-        journal::emitEvent("cache_load", fields);
-    }
-}
-
-} // namespace
-
-bool
-SynthesisCache::load(const std::string &path, const AutoLLVMDict &dict)
-{
-    std::ifstream in(path);
-    if (!in) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-    std::string header;
-    if (!std::getline(in, header)) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-    std::istringstream hdr(header);
-    std::string magic;
-    std::string version;
-    uint64_t fingerprint = 0;
-    hdr >> magic >> version >> fingerprint;
-    if (magic != "hydride-synth-cache" || version != "v2" ||
-        fingerprint != cachefmt::dictFingerprint(dict)) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-
-    // Salvage loader: entries are independent checksummed blocks, so
-    // a damaged file (bit flip, truncation, crash mid-write of an
-    // ancestor tool) costs only the entries at and after the damage —
-    // the valid prefix is kept instead of discarding the whole cache.
-    last_load_ = LoadStats{};
-    std::string line;
-    std::string block;
-    bool in_block = false;
-    while (std::getline(in, line)) {
-        if (line.rfind("entry ", 0) == 0) {
-            if (in_block)
-                break; // Previous block never saw its checksum line.
-            in_block = true;
-            block = line + "\n";
-            continue;
-        }
-        if (line.rfind("check ", 0) == 0) {
-            if (!in_block)
-                break;
-            in_block = false;
-            uint64_t recorded = 0;
-            std::istringstream chk(line.substr(6));
-            if (!(chk >> recorded) ||
-                recorded != cachefmt::checksum(block) ||
-                faults::shouldFail("cache.corrupt")) {
-                last_load_.salvaged = true;
-                break;
-            }
-            Key key;
-            SynthesisResult result;
-            if (!cachefmt::parseEntry(block, dict, key, result)) {
-                last_load_.salvaged = true;
-                break;
-            }
-            entries_[key].result = std::move(result);
-            ++last_load_.entries_loaded;
-            continue;
-        }
-        if (!in_block)
-            break; // Garbage between blocks.
-        block += line + "\n";
-    }
-    if (in_block)
-        last_load_.salvaged = true; // Truncated final block.
-    if (last_load_.salvaged) {
-        HYD_LOG(Warn,
-                format("synthesis cache `%s` is damaged; salvaged the "
-                       "valid prefix (%zu entries)",
-                       path.c_str(), last_load_.entries_loaded));
-    }
-    noteLoadOutcome(path, true, last_load_.salvaged,
-                    last_load_.entries_loaded);
-    return true;
 }
 
 } // namespace hydride

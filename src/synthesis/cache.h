@@ -11,7 +11,8 @@
  * times, Table 4's overhead rows), this is an in-memory C++ map with
  * negligible lookup cost — the improvement the paper explicitly
  * anticipates ("A fast language like C++ would greatly reduce cache
- * lookup times").
+ * lookup times"). It lives for one process; persistence across
+ * processes is the durable store's job (synthesis/store/store.h).
  */
 #ifndef HYDRIDE_SYNTHESIS_CACHE_H
 #define HYDRIDE_SYNTHESIS_CACHE_H
@@ -79,73 +80,16 @@ class SynthesisCache
      *  whatever a prior partial write left behind. */
     void insertByKey(const Key &key, const SynthesisResult &result);
 
-    /**
-     * Persist the cache to a file so later compiler invocations reuse
-     * synthesis results (the paper's cross-invocation cache, minus
-     * the Racket lookup overhead its Table 4 laments). The file
-     * records a dictionary fingerprint; load() refuses caches built
-     * against a different dictionary.
-     *
-     * The write is atomic (temp file in the same directory, then
-     * rename), so a crash mid-save never destroys the previous good
-     * cache, and every entry carries a checksum the loader verifies.
-     */
-    bool save(const std::string &path,
-              const class AutoLLVMDict &dict) const;
-
-    /**
-     * Load a previously saved cache; false on mismatch/IO error.
-     * A damaged file (bit flip, truncation) is *salvaged*: the valid
-     * prefix of entries is kept, the load still succeeds, and
-     * loadStats() reports what happened.
-     */
-    bool load(const std::string &path, const class AutoLLVMDict &dict);
-
-    /** What the most recent load() did. */
-    struct LoadStats
-    {
-        bool salvaged = false;        ///< Damage was detected.
-        size_t entries_loaded = 0;    ///< Entries kept.
-    };
-    const LoadStats &loadStats() const { return last_load_; }
-
   private:
     /** The one insertion path: every public insert lands here. */
     void insertEntry(const Key &key, const SynthesisResult &result);
 
     std::map<Key, CachedEntry> entries_;
-    LoadStats last_load_;
     int hits_ = 0;
     int misses_ = 0;
     long lifetime_hits_ = 0;
     long lifetime_misses_ = 0;
 };
-
-/**
- * The serialized cache-entry wire format, shared with the durable
- * synthesis store (src/synthesis/store/): one text block per entry
- * plus an FNV-1a checksum over the block, and the dictionary
- * fingerprint that binds a persisted artifact to the AutoLLVM
- * dictionary it was built against.
- */
-namespace cachefmt {
-
-/** One entry's serialized block (everything the checksum covers). */
-std::string serializeEntry(const SynthesisCache::Key &key,
-                           const SynthesisResult &result);
-
-/** Parse one serialized entry block; false on any malformation
- *  (including instruction ids outside the dictionary). */
-bool parseEntry(const std::string &block, const class AutoLLVMDict &dict,
-                SynthesisCache::Key &key, SynthesisResult &result);
-
-/** FNV-1a over a serialized block — the per-entry checksum. */
-uint64_t checksum(const std::string &text);
-
-/** Fingerprint tying a persisted artifact to the dictionary. */
-uint64_t dictFingerprint(const class AutoLLVMDict &dict);
-
-} // namespace cachefmt
 
 } // namespace hydride
 

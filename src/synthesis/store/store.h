@@ -2,11 +2,10 @@
  * @file
  * The durable, multi-process, content-addressed synthesis store.
  *
- * `SynthesisCache` (synthesis/cache.h) memoizes within one process
- * and persists as a single atomically-replaced file. This store is
- * its compile-farm generalization (paper §4.1's memoization, shared
- * across a fleet of workers — ROADMAP "persistent, content-addressed
- * synthesis cache with warm-start"):
+ * `SynthesisCache` (synthesis/cache.h) memoizes within one process.
+ * This store is the only on-disk form of those results (paper §4.1's
+ * memoization, shared across invocations and across a fleet of
+ * workers), and the only module that knows the entry wire format:
  *
  *  - **Content-addressed shards.** Records are keyed by the window's
  *    structural hash (`HExpr::hashOf`) + target ISA and land in

@@ -8,7 +8,9 @@
 
 #include "backends/simulator.h"
 #include "backends/targets.h"
+#include "observability/metrics.h"
 #include "specs/spec_db.h"
+#include "support/faults.h"
 #include "support/rng.h"
 
 namespace hydride {
@@ -125,8 +127,9 @@ TEST(RakeBackend, AvoidsTheInstructionsRakeLacks)
 
 TEST(HydrideBackend, BeatsLlvmStyleOnMatmul)
 {
-    SynthesisOptions options;
-    options.timeout_seconds = 5.0;
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 5.0;
+    options.retry_escalated = false;
     HydrideBackend hydride(dict(), "x86", 512, options);
     LlvmStyleBackend llvm(dict(), "x86", 512);
     Kernel kernel = kernelFor("matmul_b1", 512);
@@ -141,15 +144,69 @@ TEST(HydrideBackend, BeatsLlvmStyleOnMatmul)
 
 TEST(HydrideBackend, SplitWindowsStillValidate)
 {
-    SynthesisOptions options;
-    options.timeout_seconds = 3.0;
-    options.window_depth = 4;
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 3.0;
+    options.synthesis.window_depth = 4;
+    options.retry_escalated = false;
     HydrideBackend hydride(dict(), "hvx", 1024, options);
     Kernel kernel = kernelFor("gaussian5x5", 1024);
     CompiledKernel compiled;
     ASSERT_TRUE(hydride.compile(kernel, compiled));
     EXPECT_GE(compiled.programs.size(), kernel.windows.size());
     EXPECT_TRUE(validateCompiled(dict(), compiled, kernel));
+}
+
+/** Registry-clearing guard so no test leaks configured faults. */
+struct FaultGuard
+{
+    ~FaultGuard() { faults::reset(); }
+};
+
+TEST(HydrideBackend, CachedWindowThatNoLongerLowersFallsBackToMacro)
+{
+    FaultGuard guard;
+    metrics::setEnabled(true);
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 5.0;
+    options.retry_escalated = false;
+    HydrideBackend hydride(dict(), "x86", 512, options);
+    Kernel kernel = kernelFor("matmul_b1", 512);
+    CompiledKernel first;
+    ASSERT_TRUE(hydride.compile(kernel, first));
+
+    // Second compile: every window hits the cache, and lowering the
+    // cached module fails. Each window must degrade to macro
+    // expansion instead of aborting the compile.
+    metrics::Counter &cached = metrics::counter("resilience.rung.cached");
+    metrics::Counter &macro =
+        metrics::counter("resilience.rung.macro_expanded");
+    const uint64_t cached_before = cached.value();
+    const uint64_t macro_before = macro.value();
+    ASSERT_TRUE(faults::configure("lowering.fail"));
+    CompiledKernel second;
+    const bool ok = hydride.compile(kernel, second);
+    faults::reset();
+    metrics::setEnabled(false);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(cached.value(), cached_before);
+    EXPECT_EQ(macro.value() - macro_before, second.programs.size());
+    EXPECT_TRUE(validateCompiled(dict(), second, kernel));
+}
+
+TEST(HydrideBackend, WindowWithoutAProgramFailsTheCompileWithoutThrowing)
+{
+    // Neither lowering nor macro expansion succeeds, so every window
+    // lands on the Scalarized rung: no target program to time.
+    FaultGuard guard;
+    ASSERT_TRUE(faults::configure("lowering.fail,macro.fail"));
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 5.0;
+    options.retry_escalated = false;
+    HydrideBackend hydride(dict(), "x86", 512, options);
+    CompiledKernel compiled;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = hydride.compile(kernelFor("add", 512), compiled));
+    EXPECT_FALSE(ok);
 }
 
 TEST(Simulator, CyclesScaleWithIterationsAndCost)

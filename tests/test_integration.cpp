@@ -136,8 +136,9 @@ TEST(Integration, HydrideCompilesAndValidatesEveryKernelEverywhere)
 {
     for (const auto &target : evaluationTargets()) {
         SynthesisCache cache;
-        SynthesisOptions options;
-        options.timeout_seconds = 3.0;
+        ResilienceOptions options;
+        options.synthesis.timeout_seconds = 3.0;
+        options.retry_escalated = false;
         HydrideBackend hydride(dict(), target.isa, target.vector_bits,
                                options, &cache);
         for (const auto &name : kernelNames()) {
@@ -158,8 +159,9 @@ TEST(Integration, SynthesisBeatsOrMatchesExpansionOnEveryWindow)
 {
     // Hydride must never produce worse code than its own fallback.
     for (const auto &target : evaluationTargets()) {
-        SynthesisOptions options;
-        options.timeout_seconds = 3.0;
+        ResilienceOptions options;
+        options.synthesis.timeout_seconds = 3.0;
+        options.retry_escalated = false;
         HydrideBackend hydride(dict(), target.isa, target.vector_bits,
                                options);
         LlvmStyleBackend llvm(dict(), target.isa, target.vector_bits);
@@ -182,8 +184,9 @@ TEST(Integration, SynthesisBeatsOrMatchesExpansionOnEveryWindow)
 TEST(Integration, RescheduledKernelsHitTheCache)
 {
     SynthesisCache cache;
-    SynthesisOptions options;
-    HydrideCompiler compiler(dict(), "x86", 512, options, &cache);
+    ResilienceOptions options;
+    options.retry_escalated = false;
+    ResilientCompiler compiler(dict(), "x86", 512, options, &cache);
     Schedule schedule;
     schedule.vector_bits = 512;
     compiler.compile(buildKernel("conv_nn", schedule));
@@ -191,10 +194,11 @@ TEST(Integration, RescheduledKernelsHitTheCache)
     Schedule rescheduled = schedule;
     rescheduled.unroll = 4;
     rescheduled.tile = 32;
-    KernelCompilation warm =
+    ResilientCompilation warm =
         compiler.compile(buildKernel("conv_nn", rescheduled));
     EXPECT_EQ(cache.misses(), misses); // No new synthesis needed.
-    EXPECT_EQ(warm.cache_hits, static_cast<int>(warm.windows.size()));
+    for (const auto &window : warm.windows)
+        EXPECT_NE(window.cache_outcome, "miss");
 }
 
 } // namespace

@@ -10,10 +10,11 @@
 #include <algorithm>
 
 #include "driver/resilience.h"
-#include "support/rng.h"
+#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
 #include "support/faults.h"
+#include "support/rng.h"
 #include "support/timing.h"
 
 namespace hydride {
@@ -78,7 +79,7 @@ TEST(Faults, AlwaysModeFiresOnEveryEvaluation)
     ASSERT_TRUE(faults::configure("cegis.timeout"));
     EXPECT_TRUE(faults::shouldFail("cegis.timeout"));
     EXPECT_TRUE(faults::shouldFail("cegis.timeout"));
-    EXPECT_FALSE(faults::shouldFail("cache.save"));
+    EXPECT_FALSE(faults::shouldFail("lowering.fail"));
     EXPECT_EQ(faults::fireCount("cegis.timeout"), 2);
 }
 
@@ -345,6 +346,30 @@ TEST(Resilience, WholeKernelCompilesThroughTheLadder)
     EXPECT_EQ(compiled.failed_windows, 0);
     EXPECT_GT(compiled.degraded_windows, 0);
     EXPECT_GT(compiled.staticCost(), 0);
+}
+
+TEST(Resilience, TracedCompileProfilesOneWindowPerPiece)
+{
+    // The driver's window span is the profiler's window container, and
+    // the driver opens the cache-lookup span itself, so a `--profile`
+    // run attributes every piece, cache hits included.
+    FaultGuard guard;
+    trace::reset();
+    trace::setEnabled(true);
+    ResilienceOptions options = fastOptions();
+    options.retry_escalated = false;
+    ResilientCompiler compiler(dict(), "x86", 512, options);
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    ResilientCompilation compiled =
+        compiler.compile(buildKernel("matmul_b4", schedule));
+    const bench::PhaseProfile profile = bench::profileCurrentTrace();
+    trace::setEnabled(false);
+
+    EXPECT_EQ(profile.windows.size(), compiled.pieces.size());
+    for (const auto &window : profile.windows)
+        EXPECT_EQ(window.container, bench::kSpanWindowDriver);
+    EXPECT_GT(profile.aggregate.cache_lookup_ms, 0.0);
 }
 
 // ---- CEGIS deadline granularity --------------------------------------------

@@ -22,9 +22,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "driver/resilience.h"
 #include "halide/hexpr.h"
 #include "support/rng.h"
-#include "synthesis/compiler.h"
 #include "synthesis/store/store.h"
 
 namespace hydride {
@@ -183,6 +183,33 @@ TEST_F(StoreTest, RoundTripAcrossReopen)
     EXPECT_FALSE(negative->ok);
     // Lookups are ISA-scoped.
     EXPECT_EQ(reopened.find(probe(1), "arm"), nullptr);
+}
+
+TEST_F(StoreTest, WarmCompilerFromDisk)
+{
+    // Two compiler invocations that share only the store root: the
+    // first fills the store, the second (fresh in-process cache)
+    // compiles every window from it without new synthesis.
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    const Kernel kernel = buildKernel("conv_nn", schedule);
+    ResilienceOptions options;
+    options.retry_escalated = false;
+    options.store_path = root_;
+    {
+        SynthesisCache cold;
+        ResilientCompiler compiler(dict(), "x86", 512, options, &cold);
+        ASSERT_TRUE(compiler.store().isOpen());
+        compiler.compile(kernel);
+    }
+    SynthesisCache warm;
+    ResilientCompiler compiler(dict(), "x86", 512, options, &warm);
+    ResilientCompilation compiled = compiler.compile(kernel);
+    ASSERT_FALSE(compiled.windows.empty());
+    for (const auto &window : compiled.windows) {
+        EXPECT_EQ(window.rung, Rung::Cached);
+        EXPECT_EQ(window.cache_outcome, "store_hit");
+    }
 }
 
 TEST_F(StoreTest, SalvageResyncsAtTheNextRecordHeader)

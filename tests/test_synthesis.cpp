@@ -3,13 +3,15 @@
  * Tests for the code synthesizer: grammar pruning (BVS/SBOS/swizzle
  * inclusion), lane scaling, CEGIS end-to-end synthesis of the
  * paper's flagship dot-product windows, the memoization cache, and
- * the compiler driver with window splitting.
+ * the compile driver (driver/resilience.h) with window splitting.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "driver/resilience.h"
 #include "specs/spec_db.h"
 #include "support/rng.h"
-#include "synthesis/compiler.h"
 
 namespace hydride {
 namespace {
@@ -270,17 +272,28 @@ TEST(Cegis, SymbolicVerifyProvesTheFullWidthWinner)
     EXPECT_EQ(result.symbolic_unknowns, 0);
 }
 
+/** The driver as the benches run it: one CEGIS attempt per window. */
+ResilienceOptions
+singleAttempt()
+{
+    ResilienceOptions options;
+    options.retry_escalated = false;
+    return options;
+}
+
 TEST(Cache, HitsOnStructurallyIdenticalWindows)
 {
     SynthesisCache cache;
-    SynthesisOptions options;
-    HydrideCompiler compiler(dict(), "x86", 512, options, &cache);
+    ResilientCompiler compiler(dict(), "x86", 512, singleAttempt(), &cache);
     Schedule schedule;
     schedule.vector_bits = 512;
     // matmul_b4 contains four structurally identical windows.
     Kernel kernel = buildKernel("matmul_b4", schedule);
-    KernelCompilation compiled = compiler.compile(kernel);
-    EXPECT_EQ(compiled.cache_hits, 3);
+    ResilientCompilation compiled = compiler.compile(kernel);
+    ASSERT_EQ(compiled.windows.size(), 4u);
+    EXPECT_EQ(compiled.windows[0].rung, Rung::Synthesized);
+    for (size_t w = 1; w < compiled.windows.size(); ++w)
+        EXPECT_EQ(compiled.windows[w].rung, Rung::Cached);
     EXPECT_EQ(cache.misses(), 1);
     EXPECT_EQ(cache.hits(), 3);
 }
@@ -288,43 +301,69 @@ TEST(Cache, HitsOnStructurallyIdenticalWindows)
 TEST(Cache, SharedAcrossKernels)
 {
     SynthesisCache cache;
-    SynthesisOptions options;
-    HydrideCompiler compiler(dict(), "x86", 512, options, &cache);
+    ResilientCompiler compiler(dict(), "x86", 512, singleAttempt(), &cache);
     Schedule schedule;
     schedule.vector_bits = 512;
     compiler.compile(buildKernel("matmul_b1", schedule));
     const int misses_before = cache.misses();
-    // conv_nn's window only differs in operand order inside the
-    // commutative add... actually it shares matmul's dot structure.
-    KernelCompilation second =
+    // matmul_bias shares matmul's dot-product window.
+    ResilientCompilation second =
         compiler.compile(buildKernel("matmul_bias", schedule));
-    EXPECT_GT(second.cache_hits, 0);
+    EXPECT_TRUE(std::any_of(second.windows.begin(), second.windows.end(),
+                            [](const ResilientWindow &window) {
+                                return window.from_cache;
+                            }));
     EXPECT_GE(cache.misses(), misses_before);
+}
+
+TEST(Cache, ClearPreservesLifetimeStatistics)
+{
+    SynthesisCache cache;
+    const HExprPtr window = matmulWindow(512);
+
+    EXPECT_EQ(cache.lookup(window, "x86"), nullptr); // Miss.
+    cache.insert(window, "x86", synthesizeWindow(dict(), "x86", window));
+    EXPECT_NE(cache.lookup(window, "x86"), nullptr); // Hit.
+    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.misses(), 1);
+
+    // clear() restarts the per-epoch counters but folds them into the
+    // lifetime totals instead of discarding them.
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.misses(), 0);
+    EXPECT_EQ(cache.lifetimeHits(), 1);
+    EXPECT_EQ(cache.lifetimeMisses(), 1);
+
+    EXPECT_EQ(cache.lookup(window, "x86"), nullptr); // Miss again.
+    EXPECT_EQ(cache.misses(), 1);
+    EXPECT_EQ(cache.lifetimeMisses(), 2);
+    EXPECT_EQ(cache.lifetimeHits(), 1);
 }
 
 TEST(Compiler, FallsBackWhenSynthesisFails)
 {
     // ARM has no 2-way dot product: the compiler must still produce a
     // correct program through macro expansion.
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
-    HydrideCompiler compiler(dict(), "arm", 128, options);
-    WindowCompilation compiled =
-        compiler.compileWindow(matmulWindow(128));
-    EXPECT_FALSE(compiled.synthesized);
+    ResilienceOptions options = singleAttempt();
+    options.synthesis.timeout_seconds = 2.0;
+    ResilientCompiler compiler(dict(), "arm", 128, options);
+    ResilientWindow compiled = compiler.compileWindow(matmulWindow(128));
+    EXPECT_EQ(compiled.rung, Rung::MacroExpanded);
     EXPECT_FALSE(compiled.program.insts.empty());
 }
 
 TEST(Compiler, SplitsDeepWindows)
 {
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
-    options.window_depth = 4;
-    HydrideCompiler compiler(dict(), "hvx", 1024, options);
+    ResilienceOptions options = singleAttempt();
+    options.synthesis.timeout_seconds = 2.0;
+    options.synthesis.window_depth = 4;
+    ResilientCompiler compiler(dict(), "hvx", 1024, options);
     Schedule schedule;
     schedule.vector_bits = 1024;
     Kernel gauss = buildKernel("gaussian3x3", schedule);
-    KernelCompilation compiled = compiler.compile(gauss);
+    ResilientCompilation compiled = compiler.compile(gauss);
     EXPECT_GT(compiled.windows.size(), gauss.windows.size());
     EXPECT_EQ(compiled.pieces.size(), compiled.windows.size());
 }
