@@ -389,8 +389,11 @@ TEST(Resilience, CegisDeadlineOvershootIsBounded)
     SynthesisOptions options;
     options.timeout_seconds = 0.05;
     options.max_insts = 3;
+    // Build the dictionary first: its one-off construction is not
+    // part of the search and takes seconds in sanitizer builds.
+    const AutoLLVMDict &d = dict();
     Stopwatch watch;
-    SynthesisResult synth = synthesizeWindow(dict(), "x86", window, options);
+    SynthesisResult synth = synthesizeWindow(d, "x86", window, options);
     const double elapsed = watch.seconds();
     EXPECT_LT(elapsed, 2.0);
     if (!synth.ok) {

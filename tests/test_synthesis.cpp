@@ -272,6 +272,32 @@ TEST(Cegis, SymbolicVerifyProvesTheFullWidthWinner)
     EXPECT_EQ(result.symbolic_unknowns, 0);
 }
 
+TEST(Cegis, FourOperandMaskedOpsEnumerateWithoutOverflow)
+{
+    // x86's masked ops (`_mm256_mask_*`: src, k, a, b) take four
+    // bit-vector operands; the value bank must hold all four operand
+    // indices. A four-operand candidate first appears at depth 2, once
+    // a mask-width entry is in the bank. Operand-combination counts,
+    // not the clock, bound this search, so it reaches those candidates
+    // on any machine.
+    Schedule schedule;
+    schedule.vector_bits = 256;
+    const HExprPtr window = buildKernel("sobel3x3", schedule).windows[2];
+    const Grammar grammar = buildGrammar(dict(), "x86", window, 1, {});
+    EXPECT_TRUE(std::any_of(grammar.ops.begin(), grammar.ops.end(),
+                            [](const GrammarOp &op) {
+                                return op.arg_widths.size() == 4;
+                            }));
+
+    SynthesisOptions options;
+    options.timeout_seconds = 1e5;
+    options.max_insts = 2;
+    options.max_combos = 200;
+    SynthesisResult result =
+        synthesizeWindow(dict(), "x86", window, options);
+    EXPECT_NE(result.note.rfind("synthesis aborted", 0), 0u) << result.note;
+}
+
 /** The driver as the benches run it: one CEGIS attempt per window. */
 ResilienceOptions
 singleAttempt()
