@@ -13,6 +13,15 @@
 #                            (Debug, -fsanitize=address,undefined, with
 #                            load-time spec verification on) and run
 #                            the tier-1 test suite under it.
+#   ./run_all.sh --assertions
+#                            configure + build the `glibcxx-assertions`
+#                            preset (RelWithDebInfo with
+#                            -D_GLIBCXX_ASSERTIONS: bounds-checked
+#                            std::vector / std::string indexing) and
+#                            run the bench smoke and the symbolic
+#                            engine tests under it: an out-of-range
+#                            container index aborts at the faulting
+#                            access instead of corrupting memory.
 #   ./run_all.sh --chaos     run the fault-injection sweep
 #                            (`hydride-chaos`: every registered fault
 #                            site in a fresh process) plus the
@@ -105,6 +114,14 @@ if [ "$1" = "--sanitize" ]; then
         CHAOS_BUILD=build/sanitize
         run_chaos_store
     fi
+    exit 0
+fi
+if [ "$1" = "--assertions" ]; then
+    cmake --preset glibcxx-assertions || exit 1
+    cmake --build --preset glibcxx-assertions -j "$(nproc)" || exit 1
+    build/assertions/tests/test_symbolic || exit 1
+    ctest --preset glibcxx-assertions -R '^hydride_bench_smoke$' || exit 1
+    echo "run_all: _GLIBCXX_ASSERTIONS suite passed"
     exit 0
 fi
 if [ "$1" = "--chaos" ]; then

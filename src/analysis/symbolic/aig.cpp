@@ -5,8 +5,14 @@
 namespace hydride {
 namespace sym {
 
+namespace {
+
+constexpr size_t kInitialSlots = 1024;
+
+} // namespace
+
 Aig::Aig(size_t node_budget)
-    : node_budget_(node_budget)
+    : table_(kInitialSlots), node_budget_(node_budget)
 {
     nodes_.push_back({});       // Node 0: constant false.
     input_index_.push_back(-1);
@@ -53,10 +59,9 @@ Aig::mkAnd(Lit a, Lit b)
     if (a == b)
         return a;
 
-    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    auto found = hash_.find(key);
-    if (found != hash_.end())
-        return found->second << 1;
+    size_t slot = probe(a, b);
+    if (table_[slot].var != 0)
+        return table_[slot].var << 1;
 
     if (nodes_.size() >= node_budget_) {
         // Out of nodes: flag the overflow and return an arbitrary
@@ -67,8 +72,40 @@ Aig::mkAnd(Lit a, Lit b)
     const uint32_t var = static_cast<uint32_t>(nodes_.size());
     nodes_.push_back({a, b});
     input_index_.push_back(-1);
-    hash_.emplace(key, var);
+    if (2 * (num_ands_ + 1) > table_.size()) {
+        grow();
+        slot = probe(a, b);
+    }
+    table_[slot] = {a, b, var};
+    ++num_ands_;
     return var << 1;
+}
+
+size_t
+Aig::probe(Lit a, Lit b) const
+{
+    // Fibonacci hashing of the 64-bit key; the product's high half
+    // indexes the table. Load stays at most 0.5, so a probe always
+    // ends at an empty slot.
+    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+    const size_t mask = table_.size() - 1;
+    size_t slot = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+                  mask;
+    while (table_[slot].var != 0 &&
+           (table_[slot].a != a || table_[slot].b != b))
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+Aig::grow()
+{
+    std::vector<Slot> old = std::move(table_);
+    table_.assign(old.size() * 2, Slot{});
+    for (const Slot &entry : old) {
+        if (entry.var != 0)
+            table_[probe(entry.a, entry.b)] = entry;
+    }
 }
 
 Lit

@@ -11,7 +11,9 @@
  * idempotence / complement rules fold eagerly. This is what makes the
  * common "both sides lower to the same circuit" equivalence queries
  * cheap — the miter collapses to constant false during construction
- * and the SAT core is never invoked.
+ * and the SAT core is never invoked. The hash is a flat open-addressed
+ * table (power-of-two capacity, linear probing, grown at load 0.5),
+ * so a lookup is a multiply and a short scan of adjacent slots.
  *
  * Node allocation is budgeted: once `nodeBudget()` is exceeded the
  * builder keeps returning well-formed literals but raises the
@@ -23,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace hydride {
@@ -91,10 +92,24 @@ class Aig
     int inputIndex(uint32_t var) const;
 
   private:
+    /** One structural-hash slot; var 0 (the constant) marks it empty. */
+    struct Slot
+    {
+        Lit a = 0;
+        Lit b = 0;
+        uint32_t var = 0;
+    };
+
+    /** Slot index for (a, b): found, or the empty slot to fill. */
+    size_t probe(Lit a, Lit b) const;
+    /** Double the table and re-insert every AND node. */
+    void grow();
+
     std::vector<Node> nodes_;          ///< Node 0 = constant false.
     std::vector<int> input_index_;     ///< Per-var input ordinal or -1.
     int num_inputs_ = 0;
-    std::unordered_map<uint64_t, uint32_t> hash_;
+    std::vector<Slot> table_;          ///< Power-of-two capacity.
+    size_t num_ands_ = 0;              ///< Occupied slots.
     size_t node_budget_;
     bool overflowed_ = false;
 };

@@ -5,9 +5,53 @@ namespace sym {
 
 // ---- AigDomain ----------------------------------------------------------
 
-SymVec
-AigDomain::binOp(BVBinOp op, const SymVec &a, const SymVec &b)
+namespace {
+
+/** Ops whose value does not depend on operand order. */
+bool
+isCommutative(BVBinOp op)
 {
+    switch (op) {
+      case BVBinOp::Add:
+      case BVBinOp::Mul:
+      case BVBinOp::And:
+      case BVBinOp::Or:
+      case BVBinOp::Xor:
+      case BVBinOp::AddSatS:
+      case BVBinOp::AddSatU:
+      case BVBinOp::MinS:
+      case BVBinOp::MaxS:
+      case BVBinOp::MinU:
+      case BVBinOp::MaxU:
+      case BVBinOp::AvgU:
+      case BVBinOp::AvgS:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Canonical operand order for a commutative word op: the operand with
+ * the smaller literal vector goes first, so op(a, b) and op(b, a)
+ * bit-blast to the same gates and share one hashed circuit. Sound
+ * because the op is commutative on values; the order is a function
+ * of the literals alone, so both sides of a miter agree on it.
+ */
+bool
+swapToCanonical(const SymVec &a, const SymVec &b)
+{
+    return b.bits < a.bits;
+}
+
+} // namespace
+
+SymVec
+AigDomain::binOp(BVBinOp op, const SymVec &lhs, const SymVec &rhs)
+{
+    const bool swap = isCommutative(op) && swapToCanonical(lhs, rhs);
+    const SymVec &a = swap ? rhs : lhs;
+    const SymVec &b = swap ? lhs : rhs;
     switch (op) {
       case BVBinOp::Add: return svAdd(aig_, a, b);
       case BVBinOp::Sub: return svSub(aig_, a, b);
@@ -78,9 +122,13 @@ SymVec
 AigDomain::cmp(BVCmpOp op, const SymVec &a, const SymVec &b)
 {
     Lit result = kFalseLit;
+    // Eq and Ne are symmetric too; the ordered comparisons are not.
+    const bool swap = swapToCanonical(a, b);
+    const SymVec &eq_a = swap ? b : a;
+    const SymVec &eq_b = swap ? a : b;
     switch (op) {
-      case BVCmpOp::Eq: result = svEqLit(aig_, a, b); break;
-      case BVCmpOp::Ne: result = litNot(svEqLit(aig_, a, b)); break;
+      case BVCmpOp::Eq: result = svEqLit(aig_, eq_a, eq_b); break;
+      case BVCmpOp::Ne: result = litNot(svEqLit(aig_, eq_a, eq_b)); break;
       case BVCmpOp::Ult: result = svUltLit(aig_, a, b); break;
       case BVCmpOp::Ule: result = svUleLit(aig_, a, b); break;
       case BVCmpOp::Slt: result = svSltLit(aig_, a, b); break;

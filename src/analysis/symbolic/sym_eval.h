@@ -57,6 +57,8 @@ class AigDomain
         acc.setSlice(low, v);
     }
 
+    /** Commutative ops (and Eq/Ne in `cmp`) bit-blast their operands
+     *  in a canonical order, so op(a, b) and op(b, a) share gates. */
     Value binOp(BVBinOp op, const Value &a, const Value &b);
     Value unOp(BVUnOp op, const Value &a);
     Value cast(BVCastOp op, const Value &a, int width);

@@ -104,13 +104,16 @@ barrier(const char *stage, ResilientWindow &out,
  * Trust-but-verify for a retrieved store entry: symbolic equivalence
  * first (the strong tier), concrete sampling when the symbolic
  * verdict is unknown. Returns false — with a reason — when the entry
- * is refuted; the caller quarantines it. The `store.verify` chaos
- * seam forces a refutation to exercise the poisoning path.
+ * is refuted; the caller quarantines it. On success `verdict` records
+ * what the check decided and by which tier ("proved (structural)",
+ * "unknown (<budget>) -> concrete (16 vectors)"), for the window
+ * ledger. The `store.verify` chaos seam forces a refutation to
+ * exercise the poisoning path.
  */
 bool
 verifyRetrieved(const AutoLLVMDict &dict, const HExprPtr &window,
                 const AutoModule &module, const sym::EqBudget &budget,
-                int concrete_vectors, std::string &why)
+                int concrete_vectors, std::string &verdict, std::string &why)
 {
     if (faults::shouldFail("store.verify")) {
         why = "injected store.verify fault";
@@ -118,14 +121,21 @@ verifyRetrieved(const AutoLLVMDict &dict, const HExprPtr &window,
     }
     const sym::EqResult eq =
         sym::checkModuleEquiv(dict, module, window, budget);
-    if (eq.verdict == sym::Verdict::Proved)
+    metrics::counter(std::string("resilience.store.verify.") +
+                     sym::verdictName(eq.verdict))
+        .add();
+    if (eq.verdict == sym::Verdict::Proved) {
+        verdict = "proved (" + eq.method + ")";
         return true;
+    }
     if (eq.verdict == sym::Verdict::Refuted) {
         why = "symbolically refuted (" + eq.method + " tier)";
         return false;
     }
     // Unknown verdict: fall back to concrete sampling. Fixed seed so
     // a poisoned entry fails deterministically run to run.
+    verdict = "unknown (" + eq.reason + ") -> concrete (" +
+              std::to_string(concrete_vectors) + " vectors)";
     Rng rng(0x570F3u ^ HExpr::hashOf(window));
     for (int v = 0; v < concrete_vectors; ++v) {
         std::vector<BitVector> inputs;
@@ -250,17 +260,19 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                          "negative store entry; skipping synthesis"});
                     return false;
                 }
-                std::string why;
+                std::string verdict, why;
                 const bool trusted =
                     !options_.store_verify ||
                     verifyRetrieved(dict_, window, stored->module,
                                     options_.synthesis.symbolic_budget,
-                                    options_.store_verify_vectors, why);
+                                    options_.store_verify_vectors, verdict,
+                                    why);
                 if (trusted) {
                     LoweringResult lowered =
                         lowerTraced(stored->module, dict_, isa_);
                     if (lowered.ok) {
                         out.cache_outcome = "store_hit";
+                        out.store_verdict = verdict;
                         metrics::counter("resilience.store.hits").add();
                         out.rung = Rung::Cached;
                         out.from_cache = true;
@@ -447,7 +459,11 @@ ResilientCompiler::compileWindow(const HExprPtr &window)
             static_cast<int>(out.synth.candidates_rejected_static);
         ledger.symbolic_refutations = out.synth.symbolic_refutations;
         ledger.symbolic_unknowns = out.synth.symbolic_unknowns;
-        ledger.symbolic_verdict = out.synth.symbolic_verdict;
+        // A store hit's verdict is the trust-but-verify check that just
+        // ran, not the verdict recorded when the entry was synthesized.
+        ledger.symbolic_verdict = out.cache_outcome == "store_hit"
+                                      ? out.store_verdict
+                                      : out.synth.symbolic_verdict;
         ledger.note = out.synth.note;
         ledger.retries = out.retries;
         ledger.recovered = out.recovered;

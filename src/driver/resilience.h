@@ -123,6 +123,10 @@ struct ResilientWindow
      *  "store_negative" when the durable store answered after the
      *  in-process cache missed. */
     std::string cache_outcome = "none";
+    /** Trust-but-verify outcome of a "store_hit": verdict and deciding
+     *  tier, e.g. "proved (structural)" or "unknown (<budget>) ->
+     *  concrete (16 vectors)"; empty when `store_verify` is off. */
+    std::string store_verdict;
     /** Warm-start seeds retrieved from the store for this window. */
     int store_seeds = 0;
     /** Escalated synthesis retries performed (0 or 1). */

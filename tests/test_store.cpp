@@ -22,8 +22,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "analysis/symbolic/ir_equiv.h"
 #include "driver/resilience.h"
 #include "halide/hexpr.h"
+#include "observability/journal/journal.h"
+#include "observability/metrics.h"
 #include "support/rng.h"
 #include "synthesis/store/store.h"
 
@@ -210,6 +213,58 @@ TEST_F(StoreTest, WarmCompilerFromDisk)
         EXPECT_EQ(window.rung, Rung::Cached);
         EXPECT_EQ(window.cache_outcome, "store_hit");
     }
+}
+
+TEST_F(StoreTest, StoreHitLedgerRecordsTheTrustButVerifyVerdict)
+{
+    // A store hit's ledger verdict is the check that just re-proved
+    // the entry, with its tier, and each check is counted by verdict.
+    Schedule schedule;
+    schedule.vector_bits = 256;
+    const Kernel kernel = buildKernel("matmul_b1", schedule);
+    ResilienceOptions options;
+    options.retry_escalated = false;
+    options.store_path = root_;
+    {
+        SynthesisCache cold;
+        ResilientCompiler compiler(dict(), "x86", 256, options, &cold);
+        compiler.compile(kernel);
+    }
+    const std::string journal_path = root_ + ".journal.jsonl";
+    journal::resetForTest();
+    journal::setOutputPath(journal_path);
+    journal::setEnabled(true);
+    metrics::setEnabled(true);
+    metrics::Counter &proved = metrics::counter("resilience.store.verify.proved");
+    const uint64_t proved_before = proved.value();
+    SynthesisCache warm;
+    ResilientCompiler compiler(dict(), "x86", 256, options, &warm);
+    const ResilientCompilation compiled = compiler.compile(kernel);
+    journal::flush();
+    journal::setEnabled(false);
+    metrics::setEnabled(false);
+
+    ASSERT_FALSE(compiled.windows.empty());
+    for (const auto &window : compiled.windows) {
+        EXPECT_EQ(window.cache_outcome, "store_hit");
+        EXPECT_EQ(window.store_verdict, "proved (structural)");
+    }
+    EXPECT_EQ(proved.value() - proved_before, compiled.windows.size());
+
+    const journal::Journal parsed = journal::readJournal(journal_path);
+    size_t ledgers = 0;
+    for (const auto &event : parsed.events) {
+        if (event->getString("kind", "") != "window")
+            continue;
+        ++ledgers;
+        EXPECT_EQ(event->getString("cache", ""), "store_hit");
+        const bjson::Value *cegis = event->get("cegis");
+        ASSERT_TRUE(cegis);
+        EXPECT_EQ(cegis->getString("verdict", ""), "proved (structural)");
+    }
+    EXPECT_EQ(ledgers, compiled.windows.size());
+    journal::resetForTest();
+    std::remove(journal_path.c_str());
 }
 
 TEST_F(StoreTest, SalvageResyncsAtTheNextRecordHeader)
@@ -418,6 +473,35 @@ TEST_F(StoreTest, ForkedConcurrentWritersLoseNothing)
     for (int tag = 0; tag < kWriters * kPerWriter; ++tag)
         EXPECT_NE(merged.find(probe(tag), "x86"), nullptr)
             << "lost record " << tag;
+}
+
+TEST(TrustButVerify, MatmulDpwssdHitProvesStructurally)
+{
+    // The warm workload's store hit: matmul_b1 at 256 bits solved by
+    // _mm256_dpwssd_epi32. The module multiplies its operands in the
+    // opposite order to the window, so before commutative operands
+    // were canonicalized the check built two different multipliers
+    // and ran out of SAT conflicts (unknown, 166 944 AIG nodes). Now
+    // both sides share one circuit.
+    Schedule schedule;
+    schedule.vector_bits = 256;
+    const HExprPtr window = buildKernel("matmul_b1", schedule).windows[0];
+    SynthesisOptions options;
+    options.timeout_seconds = 1e5; // Combination caps bound the search.
+    const SynthesisResult solved = synthesizeWindow(dict(), "x86", window,
+                                                    options);
+    ASSERT_TRUE(solved.ok) << solved.note;
+    bool dpwssd = false;
+    for (const AutoInst &inst : solved.module.insts)
+        dpwssd = dpwssd || inst.op.member(dict()).name == "_mm256_dpwssd_epi32";
+    ASSERT_TRUE(dpwssd) << solved.module.print(dict());
+
+    const sym::EqResult eq = sym::checkModuleEquiv(
+        dict(), solved.module, window, options.symbolic_budget);
+    EXPECT_EQ(eq.verdict, sym::Verdict::Proved) << eq.reason;
+    EXPECT_EQ(eq.method, "structural");
+    EXPECT_EQ(eq.conflicts, 0);
+    EXPECT_LT(eq.aig_nodes, 100000u);
 }
 
 } // namespace

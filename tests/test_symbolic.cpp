@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "analysis/symbolic/equiv.h"
 #include "analysis/symbolic/sat.h"
@@ -74,6 +75,58 @@ TEST(Aig, NodeBudgetOverflowIsSticky)
     const Lit l = aig.mkAnd(acc, inputs[1]);
     EXPECT_LT(litVar(l), aig.numNodes());
     EXPECT_TRUE(aig.overflowed());
+}
+
+TEST(Aig, StructuralHashingSurvivesGrowth)
+{
+    // Every AND of two distinct inputs in all four polarities: ~32k
+    // gates, far past the hash table's initial capacity, so it grows
+    // several times. Rebuilding the same gates afterwards must find
+    // every one of them again.
+    Aig aig;
+    std::vector<Lit> inputs;
+    for (int i = 0; i < 128; ++i)
+        inputs.push_back(aig.addInput());
+    const auto buildAll = [&] {
+        std::vector<Lit> gates;
+        for (size_t i = 0; i < inputs.size(); ++i)
+            for (size_t j = i + 1; j < inputs.size(); ++j)
+                for (Lit polarity = 0; polarity < 4; ++polarity)
+                    gates.push_back(aig.mkAnd(inputs[i] ^ (polarity & 1),
+                                              inputs[j] ^ (polarity >> 1)));
+        return gates;
+    };
+    const std::vector<Lit> first = buildAll();
+    const size_t nodes = aig.numNodes();
+    EXPECT_EQ(nodes, 1 + inputs.size() + first.size());
+    // Operands swapped and in reverse order: still all hits.
+    for (size_t g = first.size(); g-- > 0;) {
+        const sym::Aig::Node &n = aig.node(litVar(first[g]));
+        EXPECT_EQ(aig.mkAnd(n.b, n.a), first[g]);
+    }
+    EXPECT_EQ(buildAll(), first);
+    EXPECT_EQ(aig.numNodes(), nodes);
+    EXPECT_FALSE(aig.overflowed());
+
+    // A budget reached after growth still overflows stickily, and the
+    // gates built before it are still shared.
+    Aig small(/*node_budget=*/3000);
+    std::vector<Lit> small_inputs;
+    for (int i = 0; i < 128; ++i)
+        small_inputs.push_back(small.addInput());
+    std::vector<Lit> built;
+    for (size_t i = 1; i < small_inputs.size() && !small.overflowed(); ++i)
+        for (size_t j = 0; j < i && !small.overflowed(); ++j)
+            built.push_back(small.mkAnd(small_inputs[i], small_inputs[j]));
+    EXPECT_TRUE(small.overflowed());
+    EXPECT_EQ(small.numNodes(), small.nodeBudget());
+    built.pop_back(); // The literal returned by the overflowing call.
+    for (Lit gate : built) {
+        const sym::Aig::Node &n = small.node(litVar(gate));
+        EXPECT_EQ(small.mkAnd(n.a, n.b), gate);
+    }
+    EXPECT_EQ(small.numNodes(), small.nodeBudget());
+    EXPECT_TRUE(small.overflowed());
 }
 
 TEST(Aig, EvalLitMatchesTruthTable)
@@ -289,10 +342,10 @@ evalTreeDom(const Tree &t, Domain &dom, const std::vector<V> &args)
 }
 
 sym::BVFun
-funFromTree(TreePtr tree, int width)
+funFromTree(TreePtr tree, int width, int arity = 2)
 {
     sym::BVFun fun;
-    fun.arg_widths = {width, width};
+    fun.arg_widths.assign(static_cast<size_t>(arity), width);
     fun.concrete = [tree](const std::vector<BitVector> &args) {
         return evalTreeConcrete(*tree, args);
     };
@@ -309,6 +362,15 @@ funFromTree(TreePtr tree, int width)
         return evalTreeDom(*tree, dom, args);
     };
     return fun;
+}
+
+/** The tree with the operands of every node swapped. */
+TreePtr
+mirror(const TreePtr &t)
+{
+    if (t->input >= 0)
+        return t;
+    return node(t->op, mirror(t->r), mirror(t->l));
 }
 
 /** Exhaustively compare two trees over all inputs of `width` bits. */
@@ -353,6 +415,61 @@ TEST(CheckEquiv, ProvesAlgebraicIdentities)
             funFromTree(id.lhs, w), funFromTree(id.rhs, w), budget);
         EXPECT_EQ(r.verdict, sym::Verdict::Proved)
             << id.name << ": " << r.method << " " << r.reason;
+    }
+}
+
+TEST(CheckEquiv, CommutedOperandsProveStructurally)
+{
+    // The bit-blaster orders commutative operands canonically, so
+    // op(a, b) and op(b, a) build one circuit: the miter folds to
+    // false during construction and the SAT core never runs.
+    const BVBinOp commutative[] = {
+        BVBinOp::Add,     BVBinOp::Mul,     BVBinOp::And,  BVBinOp::Or,
+        BVBinOp::Xor,     BVBinOp::AddSatS, BVBinOp::AddSatU,
+        BVBinOp::MinS,    BVBinOp::MaxS,    BVBinOp::MinU, BVBinOp::MaxU,
+        BVBinOp::AvgU,    BVBinOp::AvgS};
+    const sym::EqBudget budget;
+    const TreePtr a = leaf(0), b = leaf(1);
+    for (int w : {8, 16, 32}) {
+        for (BVBinOp op : commutative) {
+            const sym::EqResult r =
+                sym::checkEquiv(funFromTree(node(op, a, b), w),
+                                funFromTree(node(op, b, a), w), budget);
+            EXPECT_EQ(r.verdict, sym::Verdict::Proved)
+                << bvBinOpName(op) << " i" << w << ": " << r.reason;
+            EXPECT_EQ(r.method, "structural") << bvBinOpName(op) << " i" << w;
+            EXPECT_EQ(r.conflicts, 0) << bvBinOpName(op) << " i" << w;
+        }
+    }
+}
+
+TEST(CheckEquiv, NonCommutativeOperandsAreNeverSwapped)
+{
+    // Guard for the canonical order: swapping these would prove a
+    // false equivalence. Their circuits must differ, and the checker
+    // must refute with a validated model.
+    const BVBinOp ordered[] = {BVBinOp::Sub,  BVBinOp::SubSatU,
+                               BVBinOp::Shl,  BVBinOp::LShr,
+                               BVBinOp::UDiv, BVBinOp::URem};
+    const int w = 8;
+    const sym::EqBudget budget;
+    const TreePtr a = leaf(0), b = leaf(1);
+    for (BVBinOp op : ordered) {
+        Aig aig;
+        sym::AigDomain dom(aig);
+        const sym::SymVec x = sym::svInputs(aig, w);
+        const sym::SymVec y = sym::svInputs(aig, w);
+        EXPECT_NE(dom.binOp(op, x, y).bits, dom.binOp(op, y, x).bits)
+            << bvBinOpName(op);
+
+        const TreePtr lhs = node(op, a, b), rhs = node(op, b, a);
+        const sym::EqResult r = sym::checkEquiv(funFromTree(lhs, w),
+                                                funFromTree(rhs, w), budget);
+        ASSERT_EQ(r.verdict, sym::Verdict::Refuted) << bvBinOpName(op);
+        ASSERT_EQ(r.model.size(), 2u) << bvBinOpName(op);
+        EXPECT_NE(evalTreeConcrete(*lhs, r.model),
+                  evalTreeConcrete(*rhs, r.model))
+            << bvBinOpName(op);
     }
 }
 
@@ -407,11 +524,8 @@ TEST(CheckEquiv, VerdictsAgreeWithExhaustiveEnumeration)
                     randomTree(depth - 1), randomTree(depth - 1));
     };
     int proved = 0, refuted = 0;
-    for (int trial = 0; trial < 40; ++trial) {
-        const TreePtr lhs = randomTree(3);
-        const TreePtr rhs = rng.nextBelow(4) == 0
-                                ? lhs // guaranteed-equivalent pair
-                                : randomTree(3);
+    const auto check = [&](const TreePtr &lhs, const TreePtr &rhs,
+                           const std::string &trial) {
         const sym::EqResult r = sym::checkEquiv(
             funFromTree(lhs, w), funFromTree(rhs, w), budget);
         ASSERT_NE(r.verdict, sym::Verdict::Unknown)
@@ -428,6 +542,20 @@ TEST(CheckEquiv, VerdictsAgreeWithExhaustiveEnumeration)
                       evalTreeConcrete(*rhs, r.model))
                 << trial;
         }
+    };
+    for (int trial = 0; trial < 40; ++trial) {
+        const TreePtr lhs = randomTree(3);
+        const TreePtr rhs = rng.nextBelow(4) == 0
+                                ? lhs // guaranteed-equivalent pair
+                                : randomTree(3);
+        check(lhs, rhs, std::to_string(trial));
+    }
+    // Operand-mirrored pairs: equivalent exactly when every swapped
+    // node is commutative (or its operands agree), which pins the
+    // canonical operand order against exhaustive enumeration.
+    for (int trial = 0; trial < 40; ++trial) {
+        const TreePtr lhs = randomTree(3);
+        check(lhs, mirror(lhs), "mirrored " + std::to_string(trial));
     }
     // The fuzz must exercise both verdicts to mean anything.
     EXPECT_GT(proved, 0);
@@ -496,16 +624,18 @@ TEST(CheckEquiv, IntervalTierProvesRangeFacts)
 TEST(CheckEquiv, BudgetExhaustionIsUnknownNeverProved)
 {
     // An equivalent-but-nonstructural pair under a starvation budget:
-    // concrete sampling cannot refute (they are equal), known-bits
-    // cannot prove (mul degrades to top), and the AIG tier overflows.
+    // concrete sampling cannot refute (they are equal), known-bits and
+    // intervals cannot prove (three unknown summands), canonical
+    // operand order cannot re-associate, and the AIG tier overflows.
     const int w = 8;
-    const TreePtr a = leaf(0), b = leaf(1);
+    const TreePtr a = leaf(0), b = leaf(1), c = leaf(2);
     sym::EqBudget budget;
     budget.max_nodes = 64;
     budget.max_conflicts = 1;
-    const sym::EqResult r =
-        sym::checkEquiv(funFromTree(node(BVBinOp::Mul, a, b), w),
-                        funFromTree(node(BVBinOp::Mul, b, a), w), budget);
+    const sym::EqResult r = sym::checkEquiv(
+        funFromTree(node(BVBinOp::Add, node(BVBinOp::Add, a, b), c), w, 3),
+        funFromTree(node(BVBinOp::Add, a, node(BVBinOp::Add, b, c)), w, 3),
+        budget);
     EXPECT_EQ(r.verdict, sym::Verdict::Unknown);
     EXPECT_FALSE(r.reason.empty());
 }

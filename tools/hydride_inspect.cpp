@@ -225,6 +225,7 @@ winToJson(const Win &win)
     obj->set("isa", bjson::Value::makeString(win.isa));
     obj->set("rung", bjson::Value::makeString(win.rung));
     obj->set("cache", bjson::Value::makeString(win.cache));
+    obj->set("verdict", bjson::Value::makeString(win.verdict));
     obj->set("iterations", bjson::Value::makeNumber(win.iterations));
     obj->set("cost", bjson::Value::makeNumber(win.cost));
     obj->set("wall_ms", bjson::Value::makeNumber(win.wall_ms));
@@ -253,9 +254,17 @@ printWin(const Win &win, const journal::Journal &loaded)
                 "evaluation), %d retries\n",
                 win.iterations, win.counterexamples, win.rejected,
                 win.rejected_static, win.retries);
-    std::printf("  symbolic:  verdict %s, %d refutations, %d unknowns\n",
-                win.verdict.empty() ? "-" : win.verdict.c_str(),
-                win.sym_refutations, win.sym_unknowns);
+    if (win.cache == "store_hit") {
+        // No search ran; the verdict is the trust-but-verify check of
+        // the stored module, with the tier that decided it.
+        std::printf("  trusted:   %s\n",
+                    win.verdict.empty() ? "not re-checked (store_verify off)"
+                                        : win.verdict.c_str());
+    } else {
+        std::printf("  symbolic:  verdict %s, %d refutations, %d unknowns\n",
+                    win.verdict.empty() ? "-" : win.verdict.c_str(),
+                    win.sym_refutations, win.sym_unknowns);
+    }
     if (!win.note.empty())
         std::printf("  note:      %s\n", win.note.c_str());
     std::printf("  cost:      %g\n", win.cost);
